@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-fleet test-exec bench bench-tiny bench-cache bench-service bench-wire bench-fleet bench-exec bench-obs obs serve serve-fleet worker docs-check examples check
+.PHONY: test test-fast test-fleet test-exec bench bench-tiny bench-cache bench-service bench-wire bench-fleet bench-exec bench-obs perfbench obs serve serve-fleet worker docs-check examples check
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -54,6 +54,17 @@ bench-exec:
 ## observability benchmark only: metrics on vs off (<= 3% overhead gate)
 bench-obs:
 	$(PYTHON) -m pytest benchmarks/bench_obs.py -s -q
+
+## end-to-end planning benchmark: all three workloads on one seed
+## (PERFBENCH_SEED, PERFBENCH_SECONDS, PERFBENCH_TRACE=1 for per-layer numbers)
+PERFBENCH_SEED ?= 1
+PERFBENCH_SECONDS ?= 20
+PERFBENCH_TRACE ?= 0
+perfbench:
+	@set -e; for w in cold_plan warm_replan fleet_mixed; do \
+		python3 perfbench/run.py --workload $$w --seed $(PERFBENCH_SEED) \
+			--seconds $(PERFBENCH_SECONDS) --trace $(PERFBENCH_TRACE); \
+	done
 
 ## fleet dashboard: scrape /metrics of running servers (OBS_URLS="http://...")
 obs:

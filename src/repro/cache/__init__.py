@@ -1,7 +1,7 @@
 """Tiered quality-profile caching.
 
 The planning loop re-estimates quality profiles for every candidate
-flow; profiles are pure functions of (flow fingerprint, estimation
+flow; profiles are pure functions of (flow content digest, estimation
 settings, measure registry), which makes them ideal cache currency.
 This package provides the cache tiers behind
 ``ProcessingConfiguration.cache_tier``:
@@ -38,21 +38,37 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
-from repro.cache.backend import CacheBackend, CacheStats, cache_stats_dict
-from repro.cache.disk import CACHE_SCHEMA_VERSION, DiskProfileCache, key_digest
+from repro.cache.backend import (
+    CACHE_SCHEMA_VERSION,
+    DEFAULT_MAX_PENDING,
+    DEFAULT_RECOVERY_INTERVAL,
+    CacheBackend,
+    CacheStats,
+    cache_stats_dict,
+    is_cache_key,
+)
+from repro.cache.disk import DiskProfileCache
 from repro.cache.memory import ProfileCache
 from repro.cache.tiered import TieredProfileCache
 
-# Safe to import eagerly: repro.cache.http defers its JSON-codec imports
-# (repro.io -> repro.quality -> repro.cache) to call time, so no cycle.
-from repro.cache.http import (  # noqa: E402  (after siblings)
-    DEFAULT_MAX_PENDING,
-    DEFAULT_RECOVERY_INTERVAL,
-    HTTPProfileCache,
-)
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.http import HTTPProfileCache
     from repro.obs.metrics import MetricsRegistry
+
+
+def __getattr__(name: str):
+    """Load the network tier on first use.
+
+    :mod:`repro.cache.http` pulls in :mod:`repro.wire`, ``http.client``
+    and ``ssl``; a planner on the memory or disk tiers never needs them,
+    so they stay off its import path.
+    """
+    if name == "HTTPProfileCache":
+        from repro.cache.http import HTTPProfileCache
+
+        return HTTPProfileCache
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: The valid values of ``ProcessingConfiguration.cache_tier``.
 CACHE_TIERS = ("memory", "disk", "tiered", "http", "sharded")
@@ -116,6 +132,8 @@ def build_profile_cache(
     if tier == "http":
         if url is None:
             raise ValueError('cache_tier="http" requires a cache_url')
+        from repro.cache.http import HTTPProfileCache
+
         return HTTPProfileCache(
             url,
             timeout=timeout,
@@ -145,5 +163,5 @@ __all__ = [
     "TieredProfileCache",
     "build_profile_cache",
     "cache_stats_dict",
-    "key_digest",
+    "is_cache_key",
 ]

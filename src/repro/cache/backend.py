@@ -8,11 +8,14 @@ the parallel evaluator can be handed *any* cache tier -- in-memory LRU
 composite (:class:`~repro.cache.tiered.TieredProfileCache`) -- without
 knowing which one they got.
 
-Keys are opaque hashable tuples produced by
+Keys are the 64-hex-character SHA-256 digests produced by
 :meth:`repro.quality.estimator.QualityEstimator.cache_key`; they already
-fold in the flow content fingerprint, the estimation settings and the
-measure registry, so two estimators with different settings can safely
-share one backend.  Values are
+fold in the cache schema version, the flow content digest, the
+estimation settings and the measure registry, so two estimators with
+different settings can safely share one backend.  The same string is
+the memory key, the disk file name, the wire identity and the shard-ring
+input (:func:`is_cache_key` checks its shape wherever a key arrives from
+outside the process).  Values are
 :class:`~repro.quality.composite.QualityProfile` instances; backends
 must treat them as immutable snapshots (callers already store copies).
 
@@ -22,12 +25,41 @@ key/versioning scheme.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.quality.composite import QualityProfile
+
+
+#: Version of the cache key and entry layout.  Folded into every key by
+#: ``QualityEstimator.cache_key`` and recorded inside every disk entry:
+#: bumping it makes every existing entry unreachable (new keys) and
+#: unreadable-as-stale (version check).  Version 2: keys became one
+#: SHA-256 digest of the flow's incrementally kept content digest.
+CACHE_SCHEMA_VERSION = 2
+
+#: Default first recovery-probe delay of the network tiers, in seconds
+#: (``ProcessingConfiguration.cache_recovery_interval``).
+DEFAULT_RECOVERY_INTERVAL = 5.0
+
+#: Default bound on a network tier's unflushed write buffer
+#: (``ProcessingConfiguration.cache_max_pending``).
+DEFAULT_MAX_PENDING = 1024
+
+_KEY_RE = re.compile(r"[0-9a-f]{64}")
+
+
+def is_cache_key(key: object) -> bool:
+    """Whether ``key`` has the shape of a cache key (64 lowercase hex chars).
+
+    The disk tier names files after keys and the cache service takes
+    them from the network, so a key containing ``/`` or ``..`` must
+    never get past this check.
+    """
+    return isinstance(key, str) and _KEY_RE.fullmatch(key) is not None
 
 
 @dataclass
@@ -135,11 +167,11 @@ class CacheBackend(Protocol):
 
     stats: CacheStats
 
-    def get(self, key: tuple) -> "QualityProfile | None":
+    def get(self, key: str) -> "QualityProfile | None":
         """Look up a profile, counting the hit or miss."""
         ...
 
-    def get_many(self, keys: "Sequence[tuple]") -> "list[QualityProfile | None]":
+    def get_many(self, keys: "Sequence[str]") -> "list[QualityProfile | None]":
         """Batched lookup: one result (and one hit/miss count) per key.
 
         Semantically equivalent to ``[self.get(k) for k in keys]`` but
@@ -150,7 +182,7 @@ class CacheBackend(Protocol):
         """
         ...
 
-    def put(self, key: tuple, profile: "QualityProfile") -> None:
+    def put(self, key: str, profile: "QualityProfile") -> None:
         """Insert (or refresh) a profile; does not affect hit/miss counts."""
         ...
 
@@ -168,4 +200,4 @@ class CacheBackend(Protocol):
 
     def __len__(self) -> int: ...
 
-    def __contains__(self, key: tuple) -> bool: ...
+    def __contains__(self, key: str) -> bool: ...

@@ -9,12 +9,10 @@ address in ``cache_url`` and the per-request budget in ``cache_timeout``.
 
 Design points, mirroring the disk tier where the analogy holds:
 
-* **JSON wire format, digests on the hot path.**  Lookups send only the
-  :func:`~repro.cache.key_digest` of each key (the disk tier's file-name
-  hash, computed client-side), because the keys themselves are
-  multi-kilobyte flow fingerprints; writes carry the full keys (restored
-  server-side by :func:`repro.io.jsonflow.cache_key_from_jsonable`) so
-  on-disk entries stay self-verifying.  Profiles travel as
+* **JSON wire format, one identity.**  A key is a 64-hex SHA-256
+  digest (``QualityEstimator.cache_key``), and that same string names
+  the entry on lookups and on writes -- it is also the disk tier's file
+  name, so nothing is re-hashed on either side.  Profiles travel as
   :func:`repro.io.jsonflow.profile_to_dict` documents; the round-trip is
   exact, so the tier-equivalence property (identical planning results
   across tiers) holds over the network too.
@@ -70,8 +68,12 @@ import threading
 import time
 from typing import TYPE_CHECKING, Sequence
 
-from repro.cache.backend import CacheStats, observe_get_many
-from repro.cache.disk import key_digest
+from repro.cache.backend import (
+    DEFAULT_MAX_PENDING,
+    DEFAULT_RECOVERY_INTERVAL,
+    CacheStats,
+    observe_get_many,
+)
 from repro.cache.memory import ProfileCache
 from repro.wire import COMPRESS_MIN_BYTES, PooledJSONClient, WireError
 
@@ -83,14 +85,6 @@ logger = logging.getLogger("repro.cache.http")
 
 #: Default per-request budget, in seconds (``ProcessingConfiguration.cache_timeout``).
 DEFAULT_TIMEOUT = 5.0
-
-#: Default first recovery-probe delay, in seconds
-#: (``ProcessingConfiguration.cache_recovery_interval``).
-DEFAULT_RECOVERY_INTERVAL = 5.0
-
-#: Default bound on the unflushed write buffer
-#: (``ProcessingConfiguration.cache_max_pending``).
-DEFAULT_MAX_PENDING = 1024
 
 #: The probe delay doubles after each failed probe, up to this multiple
 #: of ``recovery_interval``.
@@ -184,7 +178,7 @@ class HTTPProfileCache:
         # The transport mirrors wire.* byte counters into the same
         # registry (compression ratio = raw_bytes / bytes on the wire).
         self._client.metrics_registry = registry
-        self._pending: dict[tuple, QualityProfile] = {}
+        self._pending: dict[str, QualityProfile] = {}
         self._degraded = False
         self._closed = False
         self._probe_timer: threading.Timer | None = None
@@ -196,6 +190,10 @@ class HTTPProfileCache:
     #: parallel evaluator does not layer its own batching on top (the
     #: same attribute the disk tier exposes).
     batch_writes = True
+
+    #: Entries outlive this process (the evaluator ships persistent
+    #: tiers to pool workers and batches their writes).
+    persistent = True
 
     # ------------------------------------------------------------------
     # Wire helpers
@@ -385,17 +383,16 @@ class HTTPProfileCache:
     # CacheBackend protocol
     # ------------------------------------------------------------------
 
-    def get(self, key: tuple) -> QualityProfile | None:
+    def get(self, key: str) -> QualityProfile | None:
         """Look up a profile (pending buffer, then server, then fallback)."""
         return self.get_many([key])[0]
 
-    def get_many(self, keys: Sequence[tuple]) -> list["QualityProfile | None"]:
+    def get_many(self, keys: Sequence[str]) -> list["QualityProfile | None"]:
         """Batched lookup: one round-trip for every key not buffered locally.
 
-        Keys are hashed locally (:func:`repro.cache.key_digest`) and
-        only the digests travel, so looking up a whole evaluation window
-        moves a few bytes per profile.  Counts exactly one hit or miss
-        per key, whichever side served it.
+        Only the 64-hex keys travel, so looking up a whole evaluation
+        window moves a few bytes per profile.  Counts exactly one hit or
+        miss per key, whichever side served it.
         """
         from repro.io.jsonflow import profile_from_dict
 
@@ -410,16 +407,8 @@ class HTTPProfileCache:
                 else:
                     remote.append(index)
         if remote:
-            # Check degradation before hashing: once fallen back there is
-            # no point computing SHA-256 digests of multi-kilobyte keys
-            # just for _request to return None.
-            response = (
-                self._request(
-                    "/get_many",
-                    {"digests": [key_digest(keys[index]) for index in remote]},
-                )
-                if not self._degraded
-                else None
+            response = self._request(
+                "/get_many", {"digests": [keys[index] for index in remote]}
             )
             if response is not None:
                 try:
@@ -463,7 +452,7 @@ class HTTPProfileCache:
         )
         return results
 
-    def put(self, key: tuple, profile: QualityProfile) -> None:
+    def put(self, key: str, profile: QualityProfile) -> None:
         """Buffer an insert; :meth:`flush` publishes the buffer in one batch.
 
         The degraded check happens under the same lock :meth:`_degrade`
@@ -552,11 +541,11 @@ class HTTPProfileCache:
             return len(self.fallback) + pending
         return int(response.get("entries", 0)) + pending
 
-    def __contains__(self, key: tuple) -> bool:
+    def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._pending:
                 return True
-        response = self._request("/contains", {"digest": key_digest(key)})
+        response = self._request("/contains", {"digest": key})
         if response is None:
             return key in self.fallback
         return bool(response.get("contains", False))

@@ -14,34 +14,11 @@ exposes a set of scaling knobs.  All of them default to the conservative
 seed behaviour; turning them on changes wall-clock, never results (except
 ``screening_beam``, which deliberately prunes):
 
-``copy_mode``
-    ``"deep"`` (default) clones every operation on each pattern
-    application -- the reference implementation.  ``"cow"`` applies
-    patterns on copy-on-write graphs: operation payloads are shared until
-    written, every application is recorded as a structured delta,
-    validation re-checks only the delta neighbourhood, and deduplication
-    reuses incrementally maintained signatures.  The generated
-    alternative set is identical (same signatures, same order, same
-    labels); generation is several times faster and the speedup grows
-    with ``pattern_budget``.  Use ``"cow"`` whenever ``pattern_budget >=
-    3`` or the flow has tens of operations.
-``prefix_cache``
-    Pattern combinations are enumerated in lexicographic order, so
-    consecutive combinations share long prefixes: at ``pattern_budget=3``
-    the chain ``(a, b, c)`` shares ``(a, b)`` with its predecessor.  When
-    on (the default) the generator keeps the last chain's intermediate
-    flows -- and, under ``copy_mode="cow"``, their incrementally
-    validated issue lists -- and extends the cached prefix instead of
-    re-applying it from the base flow, cutting pattern applications per
-    run by ~2.5x at budget 3.  The enumeration order, the surviving
-    alternatives and their labels are identical with the cache on or
-    off, in both copy modes; turn it off only to reproduce the
-    uncached cost model (benchmark baselines).
 ``backend``
     Evaluation worker pool flavour: ``"thread"`` (default) shares memory
     and suits the numpy-light simulator at small scale; ``"process"``
-    sidesteps the GIL so CPU-bound generation (the COW fast path still
-    runs on the main thread) and simulation genuinely overlap.  Flows
+    sidesteps the GIL so CPU-bound generation (which still runs on the
+    main thread) and simulation genuinely overlap.  Flows
     cross the process boundary by pickle; copy-on-write graphs
     materialize their shared payloads when pickled, so workers always
     receive self-contained flows.
@@ -53,7 +30,7 @@ seed behaviour; turning them on changes wall-clock, never results (except
     Two-phase planning (PR 1): score every candidate statically, simulate
     only the top ``screening_beam`` survivors.
 ``cache_profiles``
-    Memoize quality profiles by flow fingerprint across re-plans and
+    Memoize quality profiles by flow content digest across re-plans and
     session iterations (PR 1).
 ``cache_tier`` / ``cache_dir`` / ``cache_max_bytes``
     Which cache backend holds those memoized profiles: the in-process
@@ -215,7 +192,7 @@ class ProcessingConfiguration:
         within this window.
     cache_profiles:
         When true (the default) the planner memoizes quality profiles by
-        flow fingerprint, so structurally identical flows -- within one
+        flow content digest, so structurally identical flows -- within one
         run or across the iterations of a redesign session -- are
         simulated only once.
     cache_tier:
@@ -293,22 +270,6 @@ class ProcessingConfiguration:
         default keeps the busiest of four shards well within 2x of the
         ideal quarter.  Must be identical across a fleet -- it changes
         placement.
-    copy_mode:
-        How pattern application copies flows: ``"deep"`` (default, the
-        seed behaviour) clones every operation payload per application;
-        ``"cow"`` shares payloads copy-on-write and drives delta-based
-        validation and incremental signatures -- same alternatives,
-        several times faster generation (see the module's Performance
-        tuning section).
-    prefix_cache:
-        When true (the default) the alternative generator reuses the
-        shared prefix of consecutive pattern combinations (intermediate
-        flows, and under ``copy_mode="cow"`` their validated issue
-        lists) instead of re-applying it from the base flow.  Identical
-        alternative sets in both copy modes; ~2.5x fewer pattern
-        applications at ``pattern_budget=3``.  ``False`` restores the
-        uncached enumeration (every combination re-applied from
-        scratch).
     backend:
         Worker pool flavour of the parallel evaluator: ``"thread"``
         (default) or ``"process"`` (GIL-free overlap of generation and
@@ -368,8 +329,6 @@ class ProcessingConfiguration:
     cache_max_pending: int = 1024
     cache_urls: tuple[str, ...] | None = None
     fleet_ring_replicas: int = DEFAULT_RING_REPLICAS
-    copy_mode: str = "deep"
-    prefix_cache: bool = True
     backend: str = "thread"
     executor_backend: str = "local"
     metrics_enabled: bool = False
@@ -385,8 +344,6 @@ class ProcessingConfiguration:
                         "metrics_registry must be a repro.obs.MetricsRegistry "
                         f"(missing {required!r})"
                     )
-        if self.copy_mode not in ("deep", "cow"):
-            raise ValueError(f"unknown copy_mode: {self.copy_mode!r} (use 'deep' or 'cow')")
         if self.backend not in ("thread", "process"):
             raise ValueError(f"unknown backend: {self.backend!r} (use 'thread' or 'process')")
         if self.executor_backend not in EXECUTOR_BACKENDS:

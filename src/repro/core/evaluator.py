@@ -39,8 +39,7 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Iterable, Iterator, Literal, Sequence
 
-from repro.cache import CacheBackend, DiskProfileCache, TieredProfileCache
-from repro.cache.http import HTTPProfileCache
+from repro.cache import CacheBackend
 from repro.core.alternatives import AlternativeFlow
 from repro.obs.metrics import MetricsRegistry, maybe_timer
 from repro.quality.composite import QualityProfile
@@ -53,12 +52,15 @@ def _persistent_component(cache: CacheBackend | None):
     A disk store (optionally inside the tiered composite) or the network
     cache client -- the tiers whose entries outlive this process, and
     therefore the only tiers worth shipping to pool workers or batching
-    writes for.  ``None`` for memory-only caches.
+    writes for.  ``None`` for memory-only caches.  Detected by capability
+    (the tiers' ``persistent`` flag, and the tiered composite's ``disk``),
+    so the network tier is never imported just to be ruled out.
     """
-    if isinstance(cache, (DiskProfileCache, HTTPProfileCache)):
+    if getattr(cache, "persistent", False):
         return cache
-    if isinstance(cache, TieredProfileCache):
-        return cache.disk
+    disk = getattr(cache, "disk", None)
+    if getattr(disk, "persistent", False):
+        return disk
     return None
 
 
@@ -153,7 +155,7 @@ def _evaluate_chunk_pooled(alternatives: Sequence[AlternativeFlow]) -> list[Qual
         keys = [None] * len(alternatives)
         hits = [None] * len(alternatives)
     profiles: list[QualityProfile] = []
-    fresh: dict[tuple, QualityProfile] = {}  # chunk-local duplicate memo
+    fresh: dict[str, QualityProfile] = {}  # chunk-local duplicate memo
     for alternative, key, hit in zip(alternatives, keys, hits):
         if hit is None and key is not None:
             hit = fresh.get(key)
@@ -279,7 +281,7 @@ class ParallelEvaluator:
 
         def lookup_window(
             window: Sequence[AlternativeFlow],
-        ) -> tuple[list[tuple | None], list[QualityProfile | None]]:
+        ) -> tuple[list[str | None], list[QualityProfile | None]]:
             """One batched cache pass for a window of candidates.
 
             `is not None`, not truthiness: bool(cache) would call
@@ -305,10 +307,10 @@ class ParallelEvaluator:
                         keys, hits = lookup_window(window) if window else ([], [])
                     if not window:
                         break
-                    # Window-local memo: candidates sharing a fingerprint
+                    # Window-local memo: candidates sharing a cache key
                     # within one window (both looked up before either was
                     # computed) are still simulated only once.
-                    fresh: dict[tuple, QualityProfile] = {}
+                    fresh: dict[str, QualityProfile] = {}
                     drain_seconds = 0.0
                     for alternative, key, hit in zip(window, keys, hits):
                         if hit is None and key is not None:
@@ -347,12 +349,12 @@ class ParallelEvaluator:
         # (2 * workers) the chunk size is 1, i.e. the classic
         # one-task-per-alternative behaviour.
         pending: deque[
-            tuple[list[AlternativeFlow], list[tuple | None], Future | None]
+            tuple[list[AlternativeFlow], list[str | None], Future | None]
         ] = deque()
         pooled = self.backend == "process"
         chunk_size = max(1, max_inflight // (2 * self.workers)) if pooled else 1
         chunk: list[AlternativeFlow] = []
-        chunk_keys: list[tuple | None] = []
+        chunk_keys: list[str | None] = []
 
         def inflight() -> int:
             return sum(len(group) for group, _, _ in pending) + len(chunk)

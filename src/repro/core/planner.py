@@ -284,8 +284,8 @@ class Planner:
         * ``flow`` must pass :func:`~repro.etl.validation.validate_flow`
           (a :class:`~repro.etl.validation.ValidationError` is raised
           otherwise) and is **never mutated**: alternatives are built on
-          copies, and with ``copy_mode="cow"`` the generator works on a
-          private snapshot so the caller's graph is never payload-aliased.
+          copies: the generator works on a private snapshot, so the
+          caller's graph is never payload-aliased.
         * The call is eager (it returns a fully evaluated
           :class:`PlanningResult`) but internally *streaming*: candidates
           flow from the lazy generator into the evaluator with at most
@@ -295,8 +295,8 @@ class Planner:
         * Deterministic for a fixed configuration: same flow + same
           :class:`~repro.core.configuration.ProcessingConfiguration`
           (including ``seed``) produce the same alternatives, labels,
-          profiles and skyline, regardless of ``copy_mode``,
-          ``prefix_cache``, ``backend`` or worker count.
+          profiles and skyline, regardless of ``backend`` or worker
+          count.
         * When ``screening_beam`` is set, a static-only scoring pass
           screens the stream first and only the beam survivors are
           simulated -- the single knob that deliberately changes which

@@ -84,7 +84,7 @@ class RedesignSession:
       incremental process.
     * Sessions are deterministic under a fixed configuration: replaying
       the same choices yields the same flows and profiles, independent
-      of ``copy_mode`` / ``prefix_cache`` / ``backend``.
+      of ``backend`` and worker count.
 
     Parameters
     ----------

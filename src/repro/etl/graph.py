@@ -21,13 +21,16 @@ graph supports two copying disciplines:
   keep an incrementally maintained structural signature.
 
 The delta makes downstream stages O(delta) as well: validation re-checks
-only the delta neighbourhood (:func:`repro.etl.validation.validate_delta`)
-and deduplication reuses the parent signature instead of re-hashing the
-whole flow.
+only the delta neighbourhood (:func:`repro.etl.validation.validate_delta`),
+deduplication reuses the parent signature instead of re-hashing the
+whole flow, and the content digest (:meth:`ETLGraph.content_digest`, the
+profile-cache key) inherits the parent's per-operation digests and
+re-hashes only the operations the delta touched.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -86,6 +89,41 @@ def _copy_structure(graph: nx.DiGraph, into: nx.DiGraph | None = None) -> nx.DiG
     clone._succ.update(graph._succ)
     clone._pred.update(graph._pred)
     return clone
+
+
+def operation_digest(operation: Operation) -> bytes:
+    """SHA-256 of everything about one operation that feeds the measures.
+
+    Covers the identifier, kind, parallelism, output schema, config and
+    every cost-model property -- exactly what the simulator and the
+    static estimators read -- and deliberately not the display ``name``.
+    The per-operation digests of a flow are combined by
+    :meth:`ETLGraph.content_digest`.
+    """
+    props = operation.properties
+    content = (
+        operation.op_id,
+        operation.kind.value,
+        operation.parallelism,
+        tuple(
+            (f.name, f.dtype.value, f.nullable, f.key)
+            for f in operation.output_schema.fields
+        ),
+        tuple(sorted((str(k), repr(v)) for k, v in operation.config.items())),
+        props.cost_per_tuple,
+        props.fixed_cost,
+        props.selectivity,
+        props.error_rate,
+        props.null_rate,
+        props.duplicate_rate,
+        props.failure_rate,
+        props.memory_per_tuple,
+        props.freshness_lag,
+        props.update_frequency,
+        props.monetary_cost,
+        tuple(sorted((str(k), repr(v)) for k, v in props.extra.items())),
+    )
+    return hashlib.sha256(repr(content).encode("utf-8")).digest()
 
 
 @dataclass
@@ -301,6 +339,14 @@ class ETLGraph:
         self._parent_sig: tuple | None = None
         self._parent_ref: "ETLGraph | None" = None
         self._sig_cache: tuple | None = None
+        # Content-digest bookkeeping (COW graphs cache, deep graphs
+        # recompute): ``_op_digests`` maps each operation to its
+        # :func:`operation_digest`, ``_parent_ops`` is the parent's map
+        # captured with ``_parent_sig``, and ``_content_base`` hashes the
+        # sorted per-operation digests with the edge signature.
+        self._op_digests: dict[str, bytes] | None = None
+        self._parent_ops: dict[str, bytes] | None = None
+        self._content_base: bytes | None = None
         self._uid: int = next(_graph_uid_counter)
 
     # ------------------------------------------------------------------
@@ -308,8 +354,10 @@ class ETLGraph:
     # ------------------------------------------------------------------
 
     def _dirty(self) -> None:
-        """Invalidate the cached structural signature after a mutation."""
+        """Invalidate the cached signature and digests after a mutation."""
         self._sig_cache = None
+        self._op_digests = None
+        self._content_base = None
 
     def _succ_of(self, op_id: str) -> dict:
         """The successor dict of ``op_id``, privatized for writing."""
@@ -951,9 +999,7 @@ class ETLGraph:
         """The (nodes, edges) part of the signature, cached on COW graphs."""
         if self._sig_cache is not None:
             return self._sig_cache
-        if self._parent_sig is None and self._parent_ref is not None:
-            self._parent_sig = self._parent_ref._structural_signature()
-            self._parent_ref = None
+        self._resolve_parent()
         if self._parent_sig is not None and self._delta is not None:
             signature = self._merge_parent_signature()
         else:
@@ -968,6 +1014,84 @@ class ETLGraph:
             # recompute each time, exactly like the seed.
             self._sig_cache = signature
         return signature
+
+    def _resolve_parent(self) -> None:
+        """Capture the copy parent's signature and operation digests once.
+
+        Deferred to the child's first signature or digest request, so
+        candidates discarded before deduplication never pay for it; the
+        reference is dropped right after, so no parent chain is kept
+        alive beyond that point.
+        """
+        parent = self._parent_ref
+        if parent is not None:
+            self._parent_sig = parent._structural_signature()
+            self._parent_ops = parent._operation_digests()
+            self._parent_ref = None
+
+    def _operation_digests(self) -> dict[str, bytes]:
+        """Operation id -> :func:`operation_digest`, in O(delta) on COW children.
+
+        A child copies its parent's map and re-hashes only the operations
+        its delta added or modified; everything else is inherited.  The
+        map is cached on COW graphs (treated as immutable once built, so
+        children may share it) and recomputed on deep graphs, which
+        tolerate direct mutation of their payloads.
+        """
+        if self._op_digests is not None:
+            return self._op_digests
+        self._resolve_parent()
+        nodes = self._graph._node if _PLAIN_DICT_INTERNALS else self._graph.nodes
+        delta = self._delta
+        if self._parent_ops is not None and delta is not None:
+            digests = dict(self._parent_ops)
+            for op_id in delta.ops_removed:
+                digests.pop(op_id, None)
+            for op_id in delta.ops_added | delta.ops_modified:
+                if op_id in nodes:
+                    digests[op_id] = operation_digest(nodes[op_id]["operation"])
+                else:
+                    digests.pop(op_id, None)
+        else:
+            digests = {
+                op_id: operation_digest(data["operation"]) for op_id, data in nodes.items()
+            }
+        if self._copy_mode == "cow":
+            self._op_digests = digests
+        return digests
+
+    def content_digest(self) -> str:
+        """A 64-hex SHA-256 of everything about the flow that feeds the measures.
+
+        The profile-cache identity of the flow: per-operation digests
+        (:func:`operation_digest`) hashed in sorted order together with
+        the sorted transitions and the graph annotations.  Sorting, not
+        XOR or summing, combines the per-operation digests, because
+        additive combinations admit generalized-birthday collisions and
+        a fleet cache may hold flows from untrusted clients.  The flow
+        name and pattern lineage are excluded, so equal flows reached by
+        different pattern combinations share one cache entry.
+
+        Finer than :meth:`signature`, which ignores properties, configs
+        and schemas (and stays the deduplication identity).  On COW
+        graphs the operation and transition part is cached and
+        maintained from the parent in O(delta); annotations are always
+        read live, since they may be assigned directly.
+        """
+        base = self._content_base
+        if base is None:
+            digests = sorted(self._operation_digests().values())
+            _, edges = self._structural_signature()
+            # The count fixes where the 32-byte digests end and the
+            # transitions begin.
+            hasher = hashlib.sha256(len(digests).to_bytes(8, "big"))
+            hasher.update(b"".join(digests))
+            hasher.update(repr(edges).encode("utf-8"))
+            base = hasher.digest()
+            if self._copy_mode == "cow":
+                self._content_base = base
+        annotations = tuple(sorted((str(k), repr(v)) for k, v in self.annotations.items()))
+        return hashlib.sha256(base + repr(annotations).encode("utf-8")).hexdigest()
 
     def _merge_parent_signature(self) -> tuple:
         """Parent structural signature + delta -> this graph's signature."""
@@ -1007,11 +1131,12 @@ class ETLGraph:
             state["_shared_adj"] = False
             state["_own_succ"] = None
             state["_own_pred"] = None
-        if self._parent_ref is not None:
-            # Never drag the copy-parent chain through pickle; the
-            # unpickled graph recomputes its signature from scratch.
-            state["_parent_ref"] = None
-            state["_parent_sig"] = None
+        # Never drag the copy-parent chain through pickle; the unpickled
+        # graph keeps what it already resolved and recomputes the rest
+        # from scratch.
+        state["_parent_ref"] = None
+        state["_parent_sig"] = None
+        state["_parent_ops"] = None
         return state
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The sharded cache tier (:class:`~repro.fleet.sharded.ShardedProfileCache`)
 partitions the profile store across N cache servers.  Profile keys are
-already location-independent SHA-256 digests (:func:`repro.cache.key_digest`,
-the disk tier's file-name hash), so routing only needs a stable function
+already location-independent SHA-256 digests
+(``QualityEstimator.cache_key``, also the disk tier's file name), so routing only needs a stable function
 ``digest -> shard url`` with three properties:
 
 * **Deterministic.**  The mapping is a pure function of the shard URL
@@ -86,7 +86,7 @@ class HashRing:
         """The shard owning a 64-hex-char key digest.
 
         Uses the digest's own leading 8 bytes as the ring position --
-        :func:`repro.cache.key_digest` output is uniformly distributed,
+        cache keys are SHA-256 output and uniformly distributed,
         so no re-hashing is needed.
         """
         position = int(digest[:16], 16)

@@ -4,7 +4,7 @@
 :class:`~repro.cache.http.HTTPProfileCache`: instead of one
 :class:`~repro.service.CacheServer` it fronts a *fleet* of them, routing
 every key by the consistent-hash ring of :mod:`repro.fleet.ring` over
-the key's SHA-256 digest.  Selected by
+the key itself (a SHA-256 digest).  Selected by
 ``ProcessingConfiguration.cache_tier="sharded"`` with the server
 addresses in ``cache_urls``.
 
@@ -54,14 +54,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
-from repro.cache.backend import CacheStats, observe_get_many
-from repro.cache.disk import key_digest
-from repro.cache.http import (
+from repro.cache.backend import (
     DEFAULT_MAX_PENDING,
     DEFAULT_RECOVERY_INTERVAL,
-    DEFAULT_TIMEOUT,
-    HTTPProfileCache,
+    CacheStats,
+    observe_get_many,
 )
+from repro.cache.http import DEFAULT_TIMEOUT, HTTPProfileCache
 from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
 from repro.wire import COMPRESS_MIN_BYTES
 
@@ -169,9 +168,9 @@ class ShardedProfileCache:
     def ring_replicas(self) -> int:
         return self.ring.replicas
 
-    def shard_for(self, key: tuple) -> str:
+    def shard_for(self, key: str) -> str:
         """The URL of the shard owning a cache key (routing introspection)."""
-        return self.ring.node(key_digest(key))
+        return self.ring.node(key)
 
     def client_for(self, url: str) -> HTTPProfileCache:
         """The per-shard client (tests and monitors peek at degradation)."""
@@ -233,18 +232,18 @@ class ShardedProfileCache:
                 )
             return self._executor
 
-    def _group_by_shard(self, keys: Sequence[tuple]) -> dict[str, list[int]]:
+    def _group_by_shard(self, keys: Sequence[str]) -> dict[str, list[int]]:
         """``{shard url: [index into keys]}`` for one lookup window."""
         groups: dict[str, list[int]] = {}
         for index, key in enumerate(keys):
-            groups.setdefault(self.ring.node(key_digest(key)), []).append(index)
+            groups.setdefault(self.ring.node(key), []).append(index)
         return groups
 
     # ------------------------------------------------------------------
     # CacheBackend protocol
     # ------------------------------------------------------------------
 
-    def get(self, key: tuple) -> "QualityProfile | None":
+    def get(self, key: str) -> "QualityProfile | None":
         """Look up one profile on its owning shard."""
         profile = self._clients[self.shard_for(key)].get(key)
         with self._lock:
@@ -254,7 +253,7 @@ class ShardedProfileCache:
                 self.stats.hits += 1
         return profile
 
-    def get_many(self, keys: Sequence[tuple]) -> "list[QualityProfile | None]":
+    def get_many(self, keys: Sequence[str]) -> "list[QualityProfile | None]":
         """Batched lookup: one concurrent ``/get_many`` per involved shard."""
         start = time.perf_counter()
         results: "list[QualityProfile | None]" = [None] * len(keys)
@@ -285,7 +284,7 @@ class ShardedProfileCache:
         )
         return results
 
-    def put(self, key: tuple, profile: "QualityProfile") -> None:
+    def put(self, key: str, profile: "QualityProfile") -> None:
         """Buffer an insert in the owning shard's client."""
         self._clients[self.shard_for(key)].put(key, profile)
 
@@ -305,7 +304,7 @@ class ShardedProfileCache:
         """Total entries across shards (best-effort, like the shard tier)."""
         return sum(len(client) for client in self._clients.values())
 
-    def __contains__(self, key: tuple) -> bool:
+    def __contains__(self, key: str) -> bool:
         return key in self._clients[self.shard_for(key)]
 
     # ------------------------------------------------------------------

@@ -184,8 +184,8 @@ class FlowComponentPattern(abc.ABC):
 
         Implementations must not mutate ``flow``; they work on a copy (the
         grafting helpers in :mod:`repro.etl.subflow` already do).  The
-        copy inherits the host's copy mode, so under the planner's
-        ``copy_mode="cow"`` the returned flow shares untouched operation
+        copy inherits the host's copy mode, and the planner's hosts are
+        copy-on-write, so the returned flow shares untouched operation
         payloads with the host: any in-place write to an existing
         operation must go through ``ETLGraph.mutable_operation`` (never
         ``operation``), and annotations should be set via
@@ -229,7 +229,7 @@ class FlowComponentPattern(abc.ABC):
         Grafting copies the template's operations into the host, so the
         cached instance is never mutated.  The memo pins the anchor,
         keeping its id stable for the lifetime of the entry, and is
-        bounded: node-anchored patterns in deep mode see fresh anchor
+        bounded: node-anchored patterns on deep copies see fresh anchor
         objects on every application (no hits), so without the bound the
         cache would grow with every candidate; once full it is flushed
         wholesale, templates being cheap to rebuild.

@@ -11,6 +11,8 @@ fails.
 
 from __future__ import annotations
 
+import math
+
 from repro.etl.graph import ETLGraph
 from repro.etl.operations import Operation, OperationKind
 from repro.etl.properties import OperationProperties
@@ -86,12 +88,13 @@ class AddCheckpoint(FlowComponentPattern):
     def fitness(self, flow: ETLGraph, point: ApplicationPoint) -> float:
         source_id = point.edge[0]
         upstream = flow.upstream_of(source_id) | {source_id}
-        upstream_cost = sum(
+        # fsum is exact, hence independent of the set's iteration order.
+        upstream_cost = math.fsum(
             flow.operation(op_id).properties.cost_per_tuple
             + flow.operation(op_id).properties.fixed_cost / 1000.0
             for op_id in upstream
         )
-        total_cost = sum(
+        total_cost = math.fsum(
             op.properties.cost_per_tuple + op.properties.fixed_cost / 1000.0
             for op in flow.operations()
         )

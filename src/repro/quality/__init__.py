@@ -23,7 +23,6 @@ from repro.quality.estimator import (
     EstimationSettings,
     ProfileCache,
     QualityEstimator,
-    flow_fingerprint,
 )
 
 from repro.quality import (  # noqa: F401  (re-exported measure modules)
@@ -46,5 +45,4 @@ __all__ = [
     "EstimationSettings",
     "ProfileCache",
     "CacheStats",
-    "flow_fingerprint",
 ]

@@ -9,9 +9,9 @@ the results into a :class:`~repro.quality.composite.QualityProfile`.
 Because the alternative space is factorial in the flow size (Section 2.2)
 and the iterative redesign loop revisits structurally identical flows
 across session iterations, estimation is memoizable: a cache backend
-(see :mod:`repro.cache`) keyed by a content fingerprint of the flow
-(structure plus operation properties plus graph annotations plus the
-estimation settings) lets a planner or a whole
+(see :mod:`repro.cache`) keyed by one SHA-256 digest of the flow's
+content (structure plus operation properties plus graph annotations,
+kept incrementally on the graph) and the estimation settings lets a planner or a whole
 :class:`~repro.core.session.RedesignSession` skip re-simulating flows it
 has already profiled -- and, with a disk-backed tier, lets *separate
 runs and parallel sessions* share profiles.  Every tier keeps hit/miss
@@ -23,13 +23,14 @@ lived here and are re-exported for backwards compatibility.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 # Re-exported for backwards compatibility: ProfileCache and CacheStats
 # lived in this module until the CacheBackend protocol was extracted
 # into the repro.cache package (which also provides the disk-backed and
 # tiered implementations).
-from repro.cache import CacheBackend, CacheStats, ProfileCache  # noqa: F401
+from repro.cache import CACHE_SCHEMA_VERSION, CacheBackend, CacheStats, ProfileCache  # noqa: F401
 from repro.etl.graph import ETLGraph
 from repro.quality.composite import QualityProfile, build_composites
 from repro.quality.framework import MeasureRegistry, MeasureValue, default_registry
@@ -73,48 +74,6 @@ class EstimationSettings:
         return (self.simulation_runs, self.seed, self.use_simulation, resource_key)
 
 
-def flow_fingerprint(flow: ETLGraph) -> tuple:
-    """A hashable content fingerprint of everything that influences measures.
-
-    Strictly finer than :meth:`ETLGraph.signature`: it also covers operation
-    properties (costs, selectivities, rates), operation configs and
-    schemas, and graph annotations, all of which feed the simulator and the
-    static estimators.  The flow *name* and pattern lineage are
-    deliberately excluded so that structurally identical flows reached
-    through different pattern combinations share one cache entry.
-    """
-    ops = []
-    for op in flow.operations():
-        props = op.properties
-        ops.append(
-            (
-                op.op_id,
-                op.kind.value,
-                op.parallelism,
-                tuple((f.name, f.dtype.value, f.nullable, f.key) for f in op.output_schema.fields),
-                tuple(sorted((str(k), repr(v)) for k, v in op.config.items())),
-                props.cost_per_tuple,
-                props.fixed_cost,
-                props.selectivity,
-                props.error_rate,
-                props.null_rate,
-                props.duplicate_rate,
-                props.failure_rate,
-                props.memory_per_tuple,
-                props.freshness_lag,
-                props.update_frequency,
-                props.monetary_cost,
-                tuple(sorted((str(k), repr(v)) for k, v in props.extra.items())),
-            )
-        )
-    ops.sort()
-    return (
-        tuple(ops),
-        tuple(sorted((e.source, e.target) for e in flow.edges())),
-        tuple(sorted((str(k), repr(v)) for k, v in flow.annotations.items())),
-    )
-
-
 class QualityEstimator:
     """Evaluates the quality profile of ETL flows.
 
@@ -130,11 +89,11 @@ class QualityEstimator:
         :class:`ProfileCache`, a persistent
         :class:`~repro.cache.DiskProfileCache`, or the
         :class:`~repro.cache.TieredProfileCache` composite).  When set,
-        :meth:`evaluate` memoizes profiles by flow fingerprint +
-        settings fingerprint, so re-evaluating a structurally identical
-        flow (e.g. in a later session iteration, a re-plan, or -- with a
-        disk-backed tier -- a whole separate run) costs a lookup instead
-        of a simulation campaign.
+        :meth:`evaluate` memoizes profiles by :meth:`cache_key`, so
+        re-evaluating a structurally identical flow (e.g. in a later
+        session iteration, a re-plan, or -- with a disk-backed tier -- a
+        whole separate run) costs a lookup instead of a simulation
+        campaign.
     """
 
     def __init__(
@@ -147,6 +106,7 @@ class QualityEstimator:
         self.settings = settings or EstimationSettings()
         self.cache = cache
         self._composites = build_composites(self.registry)
+        self._key_prefix: tuple[tuple, bytes] | None = None
 
     # ------------------------------------------------------------------
 
@@ -164,29 +124,43 @@ class QualityEstimator:
     # cache in the parent process so process-pool workers stay cheap)
     # ------------------------------------------------------------------
 
-    def cache_key(self, flow: ETLGraph) -> tuple:
+    def cache_key(self, flow: ETLGraph) -> str:
         """The memoization key of ``flow`` under the current settings.
 
-        Covers the flow content, the estimation settings, and the measure
-        registry, so estimators with different registries can safely share
-        one cache.  Recomputed on every call -- nothing is memoized per
-        graph instance, so mutating a flow in place and re-evaluating it
-        yields a fresh key (a cache miss), never a stale profile.
+        One 64-hex SHA-256 digest of the cache schema version, the flow's
+        :meth:`~repro.etl.graph.ETLGraph.content_digest`, the estimation
+        settings and the measure registry, so estimators with different
+        settings or registries can safely share one cache.  The same
+        string is the memory key, the disk file name, the wire identity
+        and the shard-ring input.  The flow digest is kept on the graph
+        and maintained in O(delta) on copy-on-write graphs; deep graphs
+        recompute it on every call, so mutating a flow in place and
+        re-evaluating it yields a fresh key (a cache miss), never a
+        stale profile.
         """
-        registry = tuple(
-            sorted((m.name, m.weight, m.requires_trace) for m in self.registry)
+        identity = (
+            self.settings.fingerprint(),
+            tuple(sorted((m.name, m.weight, m.requires_trace) for m in self.registry)),
         )
-        return (flow_fingerprint(flow), self.settings.fingerprint(), registry)
+        # The encoded settings and registry part is reused while it stays
+        # equal (its repr costs more than the rest of the key); one tuple,
+        # swapped whole, so concurrent callers never pair a stale prefix
+        # with a fresh identity.
+        cached = self._key_prefix
+        if cached is None or cached[0] != identity:
+            cached = (identity, repr((CACHE_SCHEMA_VERSION, *identity)).encode("utf-8"))
+            self._key_prefix = cached
+        return hashlib.sha256(cached[1] + flow.content_digest().encode("ascii")).hexdigest()
 
     def cached_profile(
-        self, flow: ETLGraph, key: tuple | None = None
+        self, flow: ETLGraph, key: str | None = None
     ) -> QualityProfile | None:
         """A cached profile for ``flow``, re-labelled with the flow's name.
 
         Returns ``None`` when no cache is configured or the flow has not
         been profiled yet.  The returned profile is a shallow copy so that
         callers mutating scores/values do not corrupt the memo.  Pass a
-        pre-computed ``key`` to avoid fingerprinting the flow twice.
+        pre-computed ``key`` to avoid computing it twice.
         """
         if self.cache is None:
             return None
@@ -198,7 +172,7 @@ class QualityEstimator:
         )
 
     def store_profile(
-        self, flow: ETLGraph, profile: QualityProfile, key: tuple | None = None
+        self, flow: ETLGraph, profile: QualityProfile, key: str | None = None
     ) -> None:
         """Memoize an evaluated profile (no-op without a cache).
 
@@ -228,7 +202,7 @@ class QualityEstimator:
             enabled), the flow is simulated first.  Passing an explicit
             archive bypasses the profile cache.
         """
-        key: tuple | None = None
+        key: str | None = None
         if archive is None and self.cache is not None:
             key = self.cache_key(flow)
             cached = self.cached_profile(flow, key)

@@ -35,6 +35,7 @@ from repro.service.common import (
     JSONRequestHandler,
     ServiceError,
     ServiceServer,
+    interrupt_on_sigterm,
 )
 from repro.service.redesign_server import (
     RedesignJob,
@@ -54,6 +55,7 @@ __all__ = [
     "ServiceError",
     "ServiceServer",
     "configuration_from_request",
+    "interrupt_on_sigterm",
     "result_from_dict",
     "result_to_dict",
 ]

@@ -9,16 +9,10 @@ one profile store through
 
 Wire format (JSON throughout; see ``docs/service.md``):
 
-* **Lookups travel as digests.**  A cache key is a multi-kilobyte flow
-  fingerprint; clients hash it locally with
-  :func:`repro.cache.key_digest` -- the exact digest the disk tier uses
-  for its file names -- and send only the 64-hex-char digest, so the
-  hot lookup path moves a few bytes per profile, not kilobytes, and the
-  server never re-hashes giant tuples.
-* **Writes travel as full keys** (restored server-side with
-  :func:`repro.io.jsonflow.cache_key_from_jsonable`), because on-disk
-  entries are self-verifying: the stored payload records the key it was
-  written under.
+* **One identity.**  A cache key is a 64-hex-char SHA-256 digest
+  (``QualityEstimator.cache_key``); lookups and writes both name an
+  entry by it, the server hands it to its backend unchanged, and a disk
+  backend uses it as the file name.  Anything else is a ``400``.
 * **Profiles travel as** :func:`repro.io.jsonflow.profile_to_dict`
   documents; the server keeps the documents of recently served entries
   in a digest-keyed *hot map*, so repeat lookups skip the backend, the
@@ -42,10 +36,9 @@ from repro.cache import (
     CacheStats,
     DiskProfileCache,
     TieredProfileCache,
-    key_digest,
+    is_cache_key,
 )
-from repro.cache.disk import _DIGEST_RE, _ENTRY_SUFFIX
-from repro.io.jsonflow import cache_key_from_jsonable, profile_from_dict, profile_to_dict
+from repro.io.jsonflow import profile_from_dict, profile_to_dict
 from repro.service.common import (
     MAX_REQUEST_BYTES,
     JSONRequestHandler,
@@ -54,27 +47,14 @@ from repro.service.common import (
 )
 
 
-def _decode_key(data: Any) -> tuple:
-    """Decode and sanity-check one wire key."""
-    key = cache_key_from_jsonable(data)
-    try:
-        hash(key)
-    except TypeError:
-        raise ServiceError(400, "cache keys must be JSON arrays of scalars") from None
-    if not isinstance(key, tuple):
-        raise ServiceError(400, "cache keys must be JSON arrays (tuples), not scalars")
-    return key
-
-
 def _decode_digest(data: Any) -> str:
-    """Accept exactly what :func:`repro.cache.key_digest` produces.
+    """Accept exactly what ``QualityEstimator.cache_key`` produces.
 
     Anything else -- in particular strings containing ``/`` or ``..`` --
-    must never reach the digest-addressed file paths of the disk tier
-    (the shape regex is the disk tier's own, one source of truth).
+    must never reach the digest-addressed file paths of the disk tier.
     """
-    if not isinstance(data, str) or _DIGEST_RE.fullmatch(data) is None:
-        raise ServiceError(400, "digests must be 64-character lowercase hex strings")
+    if not is_cache_key(data):
+        raise ServiceError(400, "keys must be 64-character lowercase hex digests")
     return data
 
 
@@ -119,11 +99,12 @@ class _CacheHandler(JSONRequestHandler):
                     raise ServiceError(
                         400, 'every entry must be an object with "key" and "profile"'
                     )
+                key = _decode_digest(entry["key"])
                 try:
                     profile = profile_from_dict(entry["profile"])
                 except (KeyError, TypeError, ValueError, AttributeError) as exc:
                     raise ServiceError(400, f"malformed profile document: {exc}") from None
-                decoded.append((_decode_key(entry["key"]), entry["profile"], profile))
+                decoded.append((key, entry["profile"], profile))
             service.store_entries(decoded)
             return {"stored": len(decoded)}
         if path == "/contains":
@@ -205,24 +186,17 @@ class CacheServer(ServiceServer):
         self.max_hot_entries = max_hot_entries
         #: digest -> ready-to-send profile document (JSON-able dict).
         self._hot: OrderedDict[str, dict] = OrderedDict()
-        #: digest -> full key.  Only populated for backends *without*
-        #: digest addressing (no disk component).  Kept in LRU order and
-        #: trimmed to the backend's own entry count on every insert (plus
-        #: pruned when a lookup through it misses), so it is bounded by
-        #: the same thing that bounds the backend.  Disk-backed servers
-        #: skip it -- entries are re-resolved by file-name digest instead.
-        self._keys: OrderedDict[str, tuple] = OrderedDict()
         self._lock = threading.Lock()
-        self._disk = self._disk_component(backend)
         self._sweeping: DiskProfileCache | None = None
         if eviction_interval is not None:
-            if self._disk is None:
+            disk = self._disk_component(backend)
+            if disk is None:
                 raise ValueError(
                     "eviction_interval requires a disk-backed backend "
                     "(DiskProfileCache or TieredProfileCache)"
                 )
-            self._disk.start_background_eviction(eviction_interval)
-            self._sweeping = self._disk
+            disk.start_background_eviction(eviction_interval)
+            self._sweeping = disk
 
     @staticmethod
     def _disk_component(backend: CacheBackend) -> DiskProfileCache | None:
@@ -243,69 +217,26 @@ class CacheServer(ServiceServer):
                 self._hot.move_to_end(digest)
             return document
 
-    def _hot_put(self, digest: str, document: dict, key: tuple | None = None) -> None:
+    def _hot_put(self, digest: str, document: dict) -> None:
         with self._lock:
             self._hot[digest] = document
             self._hot.move_to_end(digest)
-            if key is not None and self._disk is None:
-                # Only keyed backends need the index (see its comment);
-                # it survives hot-map eviction so backend entries whose
-                # document was dropped remain reachable -- but it is
-                # trimmed to the backend's entry count, so a bounded
-                # backend can never leave the index growing with the
-                # full history of distinct keys ever stored.
-                self._keys[digest] = key
-                self._keys.move_to_end(digest)
-                backend_entries = len(self.backend)
-                while len(self._keys) > backend_entries:
-                    self._keys.popitem(last=False)
             if self.max_hot_entries is not None:
                 while len(self._hot) > self.max_hot_entries:
                     self._hot.popitem(last=False)
 
     def get_documents(self, digests: list[str]) -> list[dict | None]:
-        """Resolve digests to profile documents (hot map, then backend)."""
-        disk = self._disk
-        results: list[dict | None] = []
-        hits = 0
-        for digest in digests:
-            document = self._hot_get(digest)
-            if document is None:
-                if disk is not None:
-                    entry = disk.get_by_digest(digest)
-                    if entry is not None:
-                        stored_key, profile = entry
-                        if isinstance(self.backend, TieredProfileCache):
-                            self.backend.memory.put(stored_key, profile)
-                        document = profile_to_dict(profile)
-                        self._hot_put(digest, document)
-                else:
-                    # Backends without digest addressing (the in-memory
-                    # scratch tier) are reached through the key index;
-                    # touching it keeps its LRU order tracking the
-                    # backend's.
-                    with self._lock:
-                        key = self._keys.get(digest)
-                        if key is not None:
-                            self._keys.move_to_end(digest)
-                    profile = self.backend.get(key) if key is not None else None
-                    if profile is not None:
-                        document = profile_to_dict(profile)
-                        self._hot_put(digest, document)
-                    elif key is not None:
-                        # The backend evicted the entry under its own
-                        # bound: prune the now-dangling index entry so
-                        # the index stays bounded by the backend's
-                        # content.  Conditional on identity: a
-                        # concurrent store_entries may have re-indexed
-                        # the digest (with a freshly decoded tuple)
-                        # after our backend miss.
-                        with self._lock:
-                            if self._keys.get(digest) is key:
-                                del self._keys[digest]
-            if document is not None:
-                hits += 1
-            results.append(document)
+        """Resolve digests to profile documents (hot map, then one backend pass)."""
+        results: list[dict | None] = [self._hot_get(digest) for digest in digests]
+        cold = [index for index, document in enumerate(results) if document is None]
+        if cold:
+            profiles = self.backend.get_many([digests[index] for index in cold])
+            for index, profile in zip(cold, profiles):
+                if profile is not None:
+                    document = profile_to_dict(profile)
+                    self._hot_put(digests[index], document)
+                    results[index] = document
+        hits = sum(1 for document in results if document is not None)
         with self._lock:
             self.stats.hits += hits
             self.stats.misses += len(digests) - hits
@@ -315,38 +246,23 @@ class CacheServer(ServiceServer):
             self.metrics.counter("cache.misses").inc(len(digests) - hits)
         return results
 
-    def store_entries(self, entries: list[tuple[tuple, dict, object]]) -> None:
+    def store_entries(self, entries: list[tuple[str, dict, object]]) -> None:
         """Store ``(key, document, profile)`` triples and publish them."""
         for key, document, profile in entries:
             self.backend.put(key, profile)  # type: ignore[arg-type]
-            self._hot_put(key_digest(key), document, key=key)
+            self._hot_put(key, document)
         self.backend.flush()
 
     def contains(self, digest: str) -> bool:
         with self._lock:
             if digest in self._hot:
                 return True
-            key = self._keys.get(digest)
-        if key is not None:
-            if key in self.backend:
-                return True
-            # The backend dropped the entry (eviction/clear): prune the
-            # index so it stays bounded by the backend's content.  Only
-            # if it is still *our* entry -- a concurrent store_entries
-            # may have re-indexed the digest since the backend miss.
-            with self._lock:
-                if self._keys.get(digest) is key:
-                    del self._keys[digest]
-            return False
-        if self._disk is not None and _DIGEST_RE.fullmatch(digest) is not None:
-            return (self._disk.cache_dir / f"{digest}{_ENTRY_SUFFIX}").exists()
-        return False
+        return digest in self.backend
 
     def clear(self) -> None:
-        """Drop the hot map, the key index and every backend entry."""
+        """Drop the hot map and every backend entry."""
         with self._lock:
             self._hot.clear()
-            self._keys.clear()
             self.stats = CacheStats()
         self.backend.clear()
 

@@ -47,6 +47,7 @@ import gzip
 import hmac
 import json
 import logging
+import signal
 import socket
 import threading
 import time
@@ -60,6 +61,22 @@ from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.wire import COMPRESS_MIN_BYTES, BodyTooLarge, decode_body
 
 logger = logging.getLogger("repro.service")
+
+def interrupt_on_sigterm() -> None:
+    """Make SIGTERM stop the process the way Ctrl-C does.
+
+    Service entry points shut down cleanly on :class:`KeyboardInterrupt`.
+    Process managers stop with SIGTERM, and a process started with
+    SIGINT ignored (a background job of a non-interactive shell) never
+    sees Ctrl-C at all; routing SIGTERM into the same exception gives
+    both one shutdown path.  Call from the main thread.
+    """
+
+    def _interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _interrupt)
+
 
 #: Default cap on request bodies (flow documents are a few hundred kB at
 #: most; profiles far less).  Oversized requests are rejected with 413.

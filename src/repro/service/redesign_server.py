@@ -97,8 +97,6 @@ _SIMPLE_FIELDS = frozenset(
         "screening_beam",
         "eval_batch_size",
         "cache_profiles",
-        "copy_mode",
-        "prefix_cache",
         "backend",
         "metrics_enabled",
     }

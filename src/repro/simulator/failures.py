@@ -12,6 +12,7 @@ repeated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -99,14 +100,17 @@ class FailureInjector:
         if upstream_checkpoints:
             # Nearest checkpoint = the one with the largest distance from sources
             # (i.e. the latest persisted state on the path to the failure).
+            # Ties on distance go to the larger identifier, so the choice
+            # never depends on set iteration order (string hash seed).
             nearest = max(
                 upstream_checkpoints,
-                key=lambda cp: self._flow.distance_from_sources(cp),
+                key=lambda cp: (self._flow.distance_from_sources(cp), cp),
             )
             recovered_from = nearest
             protected = self._flow.upstream_of(nearest) | {nearest}
             chargeable -= protected
-        lost = sum(operation_times_ms.get(op_id, 0.0) for op_id in chargeable)
+        # fsum is exact, hence independent of the set's iteration order.
+        lost = math.fsum(operation_times_ms.get(op_id, 0.0) for op_id in chargeable)
         return FailureEvent(op_id=failed_op, lost_work_ms=lost, recovered_from=recovered_from)
 
     def recovery_events(

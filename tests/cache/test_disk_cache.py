@@ -17,6 +17,7 @@ import pytest
 from repro.cache import CACHE_SCHEMA_VERSION, CacheStats, DiskProfileCache
 from repro.cache.disk import _ENTRY_SUFFIX
 from repro.quality.composite import QualityProfile
+from tests.conftest import digest_key
 
 
 def _profile(name: str = "p", **values) -> QualityProfile:
@@ -30,36 +31,36 @@ def _entry_files(cache: DiskProfileCache):
 class TestDiskCacheBasics:
     def test_get_put_and_stats(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        assert cache.get(("k",)) is None
-        cache.put(("k",), _profile())
-        hit = cache.get(("k",))
+        assert cache.get(digest_key("k")) is None
+        cache.put(digest_key("k"), _profile())
+        hit = cache.get(digest_key("k"))
         assert hit is not None and hit.flow_name == "p"
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.lookups == 2
         assert len(cache) == 1
-        assert ("k",) in cache
-        assert ("other",) not in cache
+        assert digest_key("k") in cache
+        assert digest_key("other") not in cache
 
     def test_entries_persist_across_instances(self, tmp_path):
-        DiskProfileCache(tmp_path).put(("k",), _profile("persisted"))
+        DiskProfileCache(tmp_path).put(digest_key("k"), _profile("persisted"))
         reopened = DiskProfileCache(tmp_path)
-        hit = reopened.get(("k",))
+        hit = reopened.get(digest_key("k"))
         assert hit is not None and hit.flow_name == "persisted"
         assert reopened.stats.hits == 1
 
     def test_atomic_publish_leaves_no_temp_files(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
         for i in range(5):
-            cache.put((f"k{i}",), _profile(f"p{i}"))
+            cache.put(digest_key(f"k{i}"), _profile(f"p{i}"))
         leftovers = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
         assert len(_entry_files(cache)) == 5
 
     def test_clear_drops_entries_and_stats(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        cache.put(("k",), _profile())
-        cache.get(("k",))
+        cache.put(digest_key("k"), _profile())
+        cache.get(digest_key("k"))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
@@ -72,83 +73,88 @@ class TestDiskCacheBasics:
     def test_size_bytes_tracks_entries(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
         assert cache.size_bytes() == 0
-        cache.put(("k",), _profile())
+        cache.put(digest_key("k"), _profile())
         assert cache.size_bytes() > 0
 
     def test_pickles_as_a_handle_onto_the_same_directory(self, tmp_path):
         cache = DiskProfileCache(tmp_path, max_bytes=1 << 20)
-        cache.put(("k",), _profile("shared"))
-        cache.get(("k",))
+        cache.put(digest_key("k"), _profile("shared"))
+        cache.get(digest_key("k"))
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.cache_dir == cache.cache_dir
         assert clone.max_bytes == 1 << 20
         # stats round-trip, and the clone reads entries the original wrote
         assert clone.stats.hits == 1
-        hit = clone.get(("k",))
+        hit = clone.get(digest_key("k"))
         assert hit is not None and hit.flow_name == "shared"
 
 
 class TestDiskCacheFailureModes:
     def test_corrupted_entry_is_a_miss_and_removed(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        cache.put(("k",), _profile())
+        cache.put(digest_key("k"), _profile())
         (path,) = _entry_files(cache)
         path.write_bytes(b"\x00garbage not pickle")
-        assert cache.get(("k",)) is None
+        assert cache.get(digest_key("k")) is None
         assert cache.stats.invalid == 1
         assert cache.stats.misses == 1
         assert not path.exists(), "the damaged entry must be dropped"
         # the cache heals: a re-put works and is readable again
-        cache.put(("k",), _profile("healed"))
-        assert cache.get(("k",)).flow_name == "healed"
+        cache.put(digest_key("k"), _profile("healed"))
+        assert cache.get(digest_key("k")).flow_name == "healed"
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        cache.put(("k",), _profile())
+        cache.put(digest_key("k"), _profile())
         (path,) = _entry_files(cache)
         path.write_bytes(path.read_bytes()[:10])
-        assert cache.get(("k",)) is None
+        assert cache.get(digest_key("k")) is None
         assert cache.stats.invalid == 1
 
     def test_wrong_payload_shape_is_a_miss(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        cache.put(("k",), _profile())
+        cache.put(digest_key("k"), _profile())
         (path,) = _entry_files(cache)
         path.write_bytes(pickle.dumps(["not", "a", "payload", "dict"]))
-        assert cache.get(("k",)) is None
+        assert cache.get(digest_key("k")) is None
         assert cache.stats.invalid == 1
 
     def test_version_mismatch_is_a_miss_and_removed(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        cache.put(("k",), _profile())
+        cache.put(digest_key("k"), _profile())
         (path,) = _entry_files(cache)
         payload = pickle.loads(path.read_bytes())
         payload["version"] = CACHE_SCHEMA_VERSION + 1
         path.write_bytes(pickle.dumps(payload))
-        assert cache.get(("k",)) is None
+        assert cache.get(digest_key("k")) is None
         assert cache.stats.invalid == 1
         assert not path.exists(), "a stale-schema entry must be dropped"
 
-    def test_key_mismatch_is_a_miss(self, tmp_path):
-        """A (hypothetical) hash collision must never serve the wrong profile."""
+    def test_malformed_key_is_a_miss_and_never_a_path(self, tmp_path):
+        """Keys become file names, so only 64-hex digests are accepted."""
         cache = DiskProfileCache(tmp_path)
-        cache.put(("k",), _profile())
-        (path,) = _entry_files(cache)
-        payload = pickle.loads(path.read_bytes())
-        payload["key"] = ("some", "other", "key")
-        path.write_bytes(pickle.dumps(payload))
-        assert cache.get(("k",)) is None
-        assert cache.stats.invalid == 1
+        for bad in ("../escape", "A" * 64, "0" * 63, ("tuple",)):
+            assert cache.get(bad) is None
+            assert bad not in cache
+            with pytest.raises(ValueError):
+                cache.put(bad, _profile())
+        assert cache.stats.misses == 4
+        assert list(tmp_path.iterdir()) == []
 
     def test_schema_version_partitions_the_file_namespace(self, tmp_path, monkeypatch):
         """Entries written under one schema version are invisible to another."""
-        import repro.cache.disk as disk_module
+        import repro.quality.estimator as estimator_module
+        from repro.etl.graph import ETLGraph
+        from repro.quality.estimator import QualityEstimator
 
+        flow = ETLGraph("empty")
         cache = DiskProfileCache(tmp_path)
-        cache.put(("k",), _profile())
-        monkeypatch.setattr(disk_module, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1)
+        cache.put(QualityEstimator().cache_key(flow), _profile())
+        monkeypatch.setattr(
+            estimator_module, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1
+        )
         bumped = DiskProfileCache(tmp_path)
-        assert bumped.get(("k",)) is None  # different hash, plain miss
+        assert bumped.get(QualityEstimator().cache_key(flow)) is None  # new key, plain miss
         assert bumped.stats.misses == 1
 
 
@@ -156,26 +162,26 @@ class TestDiskCacheEviction:
     def test_evicts_least_recently_used_under_cap(self, tmp_path):
         cache = DiskProfileCache(tmp_path)  # uncapped while seeding
         for i in range(4):
-            cache.put((f"k{i}",), _profile(f"p{i}"))
+            cache.put(digest_key(f"k{i}"), _profile(f"p{i}"))
         entry_size = cache.size_bytes() // 4
         # age the entries explicitly (same-second writes share mtimes)
         for age, key in enumerate(["k0", "k1", "k2", "k3"]):
-            path = cache._path((key,))
+            path = cache._path(digest_key(key))
             os.utime(path, (1_000_000 + age, 1_000_000 + age))
         # a hit refreshes k0, making k1 the least recently used
-        assert cache.get(("k0",)) is not None
+        assert cache.get(digest_key("k0")) is not None
         cache.max_bytes = entry_size * 3
-        cache.put(("k4",), _profile("p4"))
+        cache.put(digest_key("k4"), _profile("p4"))
         assert cache.stats.evictions >= 1
-        assert ("k1",) not in cache, "the least-recently-used entry goes first"
-        assert ("k0",) in cache, "the freshly hit entry survives"
-        assert ("k4",) in cache, "the newest entry survives"
+        assert digest_key("k1") not in cache, "the least-recently-used entry goes first"
+        assert digest_key("k0") in cache, "the freshly hit entry survives"
+        assert digest_key("k4") in cache, "the newest entry survives"
         assert cache.size_bytes() <= cache.max_bytes
 
     def test_uncapped_cache_never_evicts(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
         for i in range(20):
-            cache.put((f"k{i}",), _profile(f"p{i}"))
+            cache.put(digest_key(f"k{i}"), _profile(f"p{i}"))
         assert cache.stats.evictions == 0
         assert len(cache) == 20
 
@@ -183,32 +189,32 @@ class TestDiskCacheEviction:
 class TestDiskCacheBatching:
     def test_batched_puts_are_visible_but_not_published(self, tmp_path):
         cache = DiskProfileCache(tmp_path, batch_writes=True)
-        cache.put(("k",), _profile("buffered"))
-        assert ("k",) in cache
+        cache.put(digest_key("k"), _profile("buffered"))
+        assert digest_key("k") in cache
         assert len(cache) == 1
-        assert cache.get(("k",)).flow_name == "buffered"  # served from the buffer
+        assert cache.get(digest_key("k")).flow_name == "buffered"  # served from the buffer
         assert _entry_files(cache) == []  # nothing on disk yet
         other = DiskProfileCache(tmp_path)
-        assert other.get(("k",)) is None  # other handles cannot see the buffer
+        assert other.get(digest_key("k")) is None  # other handles cannot see the buffer
 
     def test_flush_publishes_the_buffer(self, tmp_path):
         cache = DiskProfileCache(tmp_path, batch_writes=True)
         for i in range(3):
-            cache.put((f"k{i}",), _profile(f"p{i}"))
+            cache.put(digest_key(f"k{i}"), _profile(f"p{i}"))
         cache.flush()
         assert len(_entry_files(cache)) == 3
         other = DiskProfileCache(tmp_path)
-        assert other.get(("k1",)).flow_name == "p1"
+        assert other.get(digest_key("k1")).flow_name == "p1"
         cache.flush()  # idempotent on an empty buffer
 
     def test_flush_applies_the_size_cap_once(self, tmp_path):
         seed = DiskProfileCache(tmp_path)
-        seed.put(("probe",), _profile())
+        seed.put(digest_key("probe"), _profile())
         entry_size = seed.size_bytes()
         seed.clear()
         cache = DiskProfileCache(tmp_path, max_bytes=entry_size * 2, batch_writes=True)
         for i in range(5):
-            cache.put((f"k{i}",), _profile(f"p{i}"))
+            cache.put(digest_key(f"k{i}"), _profile(f"p{i}"))
         assert cache.stats.evictions == 0  # nothing published yet
         cache.flush()
         assert cache.size_bytes() <= cache.max_bytes
@@ -224,7 +230,7 @@ class TestDiskCacheConcurrency:
         def hammer(cache: DiskProfileCache, worker: int) -> None:
             try:
                 for i in range(50):
-                    key = (f"k{i % 10}",)
+                    key = digest_key(f"k{i % 10}")
                     cache.put(key, _profile(f"w{worker}-{i}"))
                     hit = cache.get(key)
                     assert hit is not None  # my own write (or the peer's) is always readable
@@ -245,7 +251,7 @@ class TestDiskCacheConcurrency:
         survivor = DiskProfileCache(tmp_path)
         assert len(survivor) == 10
         for i in range(10):
-            assert survivor.get((f"k{i}",)) is not None
+            assert survivor.get(digest_key(f"k{i}")) is not None
         assert survivor.stats.invalid == 0
 
 
@@ -260,68 +266,60 @@ class TestCacheStatsInvalidCounter:
 class TestGetMany:
     def test_get_many_matches_sequential_gets_and_counts_once_per_key(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        cache.put(("a",), _profile("pa"))
-        cache.put(("b",), _profile("pb"))
-        results = cache.get_many([("a",), ("missing",), ("b",)])
+        cache.put(digest_key("a"), _profile("pa"))
+        cache.put(digest_key("b"), _profile("pb"))
+        results = cache.get_many([digest_key("a"), digest_key("missing"), digest_key("b")])
         assert [r.flow_name if r else None for r in results] == ["pa", None, "pb"]
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
 
     def test_get_many_serves_the_pending_buffer(self, tmp_path):
         cache = DiskProfileCache(tmp_path, batch_writes=True)
-        cache.put(("buffered",), _profile("pending"))
-        results = cache.get_many([("buffered",), ("absent",)])
+        cache.put(digest_key("buffered"), _profile("pending"))
+        results = cache.get_many([digest_key("buffered"), digest_key("absent")])
         assert results[0].flow_name == "pending"
         assert results[1] is None
 
 
 class TestGetByDigest:
-    def test_round_trips_through_the_file_name_digest(self, tmp_path):
-        from repro.cache import key_digest
+    """Lookups by digest: the key *is* the file name, nothing is re-hashed."""
 
+    def test_round_trips_through_the_file_name_digest(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        key = ("flow", ("nested", 1, 2.5, None, True))
+        key = digest_key(("flow", ("nested", 1, 2.5, None, True)))
         cache.put(key, _profile("digested"))
-        entry = cache.get_by_digest(key_digest(key))
-        assert entry is not None
-        stored_key, profile = entry
-        assert stored_key == key
-        assert profile.flow_name == "digested"
-        assert cache.stats.hits == 1
+        (path,) = _entry_files(cache)
+        assert path.name == f"{key}{_ENTRY_SUFFIX}"
+        assert DiskProfileCache(tmp_path).get(key).flow_name == "digested"
 
     def test_unknown_digest_is_a_miss(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
-        assert cache.get_by_digest("0" * 64) is None
+        assert cache.get("0" * 64) is None
         assert cache.stats.misses == 1
 
     def test_version_mismatch_is_invalid_and_dropped(self, tmp_path):
-        from repro.cache import key_digest
-
         cache = DiskProfileCache(tmp_path)
-        key = ("stale",)
+        key = digest_key("stale")
         cache.put(key, _profile())
         path = cache._path(key)
         payload = pickle.loads(path.read_bytes())
         payload["version"] = CACHE_SCHEMA_VERSION + 999
         path.write_bytes(pickle.dumps(payload))
-        assert cache.get_by_digest(key_digest(key)) is None
+        assert cache.get(key) is None
         assert cache.stats.invalid == 1
         assert not path.exists(), "stale entries are dropped, not served"
 
     def test_pending_buffer_is_searched_first(self, tmp_path):
-        from repro.cache import key_digest
-
         cache = DiskProfileCache(tmp_path, batch_writes=True)
-        key = ("buffered",)
+        key = digest_key("buffered")
         cache.put(key, _profile("unpublished"))
-        entry = cache.get_by_digest(key_digest(key))
-        assert entry is not None and entry[1].flow_name == "unpublished"
+        assert cache.get(key).flow_name == "unpublished"
 
 
 class TestBackgroundEviction:
     def _capped_cache(self, tmp_path, entries: int = 5):
         probe = DiskProfileCache(tmp_path / "probe")
-        probe.put(("probe",), _profile())
+        probe.put(digest_key("probe"), _profile())
         entry_size = probe.size_bytes()
         cache = DiskProfileCache(tmp_path / "store", max_bytes=entry_size * 2)
         return cache, entries
@@ -331,7 +329,7 @@ class TestBackgroundEviction:
         cache.start_background_eviction(interval=3600.0)  # never fires in-test
         try:
             for i in range(entries):
-                cache.put((f"k{i}",), _profile(f"p{i}"))
+                cache.put(digest_key(f"k{i}"), _profile(f"p{i}"))
             # the write path no longer sweeps: the store exceeds the cap
             assert cache.size_bytes() > cache.max_bytes
             assert cache.stats.evictions == 0
@@ -347,7 +345,7 @@ class TestBackgroundEviction:
         cache.start_background_eviction(interval=0.02)
         try:
             for i in range(entries):
-                cache.put((f"k{i}",), _profile(f"p{i}"))
+                cache.put(digest_key(f"k{i}"), _profile(f"p{i}"))
             deadline = time.monotonic() + 5.0
             while cache.size_bytes() > cache.max_bytes:
                 assert time.monotonic() < deadline, "sweeper never caught up"
@@ -361,7 +359,7 @@ class TestBackgroundEviction:
         cache.start_background_eviction(interval=3600.0)
         cache.stop_background_eviction()
         for i in range(entries):
-            cache.put((f"k{i}",), _profile(f"p{i}"))
+            cache.put(digest_key(f"k{i}"), _profile(f"p{i}"))
         assert cache.size_bytes() <= cache.max_bytes  # in-line sweeping again
 
     def test_double_start_rejected_and_interval_validated(self, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import Planner, ProcessingConfiguration
@@ -64,6 +66,15 @@ def small_purchases() -> ETLGraph:
 def tpch_flow() -> ETLGraph:
     """A scaled-down TPC-H refresh flow (shared across tests; treat as read-only)."""
     return tpch_refresh_flow(scale=0.05)
+
+
+def digest_key(label: object) -> str:
+    """A well-formed cache key (64 hex chars) derived from a readable label.
+
+    Cache tier tests name entries by label; the tiers take the digests
+    ``QualityEstimator.cache_key`` produces.
+    """
+    return hashlib.sha256(repr(label).encode("utf-8")).hexdigest()
 
 
 def fast_planner_config(**overrides) -> ProcessingConfiguration:

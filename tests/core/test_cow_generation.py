@@ -1,9 +1,9 @@
-"""Tests of copy-on-write alternative generation and the new planner knobs.
+"""Tests of copy-on-write alternative generation and the planner knobs.
 
-Covers the ``copy_mode`` gate (deep/cow equivalence of the generated
-space), the annotation-aware dedup regression (graph-level patterns must
-survive), :class:`GenerationStats`, the ``backend`` knob, and process
-workers receiving COW flows by pickle.
+Covers equivalence of the generated space with the deep-copy oracle
+(:class:`tests.oracle.OracleGenerator`), the annotation-aware dedup
+regression (graph-level patterns must survive), :class:`GenerationStats`,
+the ``backend`` knob, and process workers receiving COW flows by pickle.
 """
 
 from __future__ import annotations
@@ -17,13 +17,16 @@ from repro.core.policies import ExhaustivePolicy, HeuristicPolicy
 from repro.etl.validation import is_valid
 from repro.patterns.registry import default_palette
 from repro.quality.estimator import EstimationSettings, QualityEstimator
+from tests.oracle import OracleGenerator, oracle_planner
 
 
 def _generate(flow, mode, **overrides):
-    defaults = dict(pattern_budget=2, max_points_per_pattern=2, copy_mode=mode)
+    """Generate with the planner's generator (``"cow"``) or the oracle (``"deep"``)."""
+    defaults = dict(pattern_budget=2, max_points_per_pattern=2)
     defaults.update(overrides)
     config = ProcessingConfiguration(**defaults)
-    generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
+    generator_class = OracleGenerator if mode == "deep" else AlternativeGenerator
+    generator = generator_class(default_palette(), HeuristicPolicy(), config)
     return generator.generate(flow), generator
 
 
@@ -76,9 +79,7 @@ class TestCowDeepEquivalence:
     def test_interleaved_lazy_runs_keep_separate_state(self, small_purchases, tpch_flow):
         # Two partially consumed generate_iter runs on the same generator
         # must each validate against their own base flow.
-        config = ProcessingConfiguration(
-            pattern_budget=2, max_points_per_pattern=2, copy_mode="cow"
-        )
+        config = ProcessingConfiguration(pattern_budget=2, max_points_per_pattern=2)
         generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
         first = generator.generate_iter(small_purchases)
         second = generator.generate_iter(tpch_flow)
@@ -98,12 +99,9 @@ class TestCowDeepEquivalence:
         assert a_sigs == solo
 
     def test_planner_plan_equivalent_across_modes(self, small_purchases, make_planner):
-        results = {}
-        for mode in ("deep", "cow"):
-            planner = make_planner(copy_mode=mode)
-            result = planner.plan(small_purchases)
-            results[mode] = result
-        deep, cow = results["deep"], results["cow"]
+        cow = make_planner().plan(small_purchases)
+        deep = oracle_planner(make_planner().configuration).plan(small_purchases)
+        assert deep.fingerprint() == cow.fingerprint()
         assert [a.label for a in deep.alternatives] == [a.label for a in cow.alternatives]
         assert [a.flow.signature() for a in deep.alternatives] == [
             a.flow.signature() for a in cow.alternatives
@@ -157,7 +155,6 @@ class TestGenerationStats:
         _, generator = _generate(small_purchases, "cow")
         stats = generator.last_stats
         assert isinstance(stats, GenerationStats)
-        assert stats.copy_mode == "cow"
         assert stats.yielded > 0
         assert stats.combinations_tried >= stats.yielded
         assert stats.wall_seconds > 0
@@ -182,7 +179,8 @@ class TestBackendKnob:
             ProcessingConfiguration(backend="greenlet")
 
     def test_invalid_copy_mode_rejected(self):
-        with pytest.raises(ValueError):
+        # Copy-on-write is the only copy semantic: the knob is gone.
+        with pytest.raises(TypeError):
             ProcessingConfiguration(copy_mode="shallow")
 
     def test_planner_wires_backend_through(self, make_planner):
@@ -205,9 +203,7 @@ class TestBackendKnob:
 
     @pytest.mark.slow
     def test_planner_process_backend_end_to_end(self, small_purchases, make_planner):
-        planner = make_planner(
-            backend="process", parallel_workers=2, copy_mode="cow", max_alternatives=6
-        )
+        planner = make_planner(backend="process", parallel_workers=2, max_alternatives=6)
         result = planner.plan(small_purchases)
         assert result.alternatives
         assert all(alt.profile is not None for alt in result.alternatives)

@@ -65,18 +65,12 @@ class TestLazyGeneration:
         generator = AlternativeGenerator(default_palette(), configuration=config)
         total = {"calls": 0}
         original = generator._apply_combination
-        original_prefixed = generator._apply_combination_prefixed
 
-        def counting(flow, combo):
+        def counting(flow, combo, stack):
             total["calls"] += 1
-            return original(flow, combo)
-
-        def counting_prefixed(flow, combo, stack):
-            total["calls"] += 1
-            return original_prefixed(flow, combo, stack)
+            return original(flow, combo, stack)
 
         generator._apply_combination = counting
-        generator._apply_combination_prefixed = counting_prefixed
         full = list(generator.generate_iter(small_purchases))
         full_calls = total["calls"]
         assert len(full) > 5

@@ -13,12 +13,12 @@ import time
 
 import pytest
 
-from repro.cache import ProfileCache, build_profile_cache, key_digest
+from repro.cache import ProfileCache, build_profile_cache
 from repro.core.planner import Planner
 from repro.core.session import RedesignSession
 from repro.quality.composite import QualityProfile
 from repro.service import CacheServer
-from tests.conftest import fast_planner_config
+from tests.conftest import digest_key, fast_planner_config
 from tests.fleet.conftest import PROBE_INTERVAL, make_sharded_cache
 
 pytestmark = pytest.mark.fleet
@@ -28,8 +28,8 @@ def _profile(name: str = "p") -> QualityProfile:
     return QualityProfile(flow_name=name)
 
 
-def _key(n: int) -> tuple:
-    return ("flow", n, "settings")
+def _key(n: int) -> str:
+    return digest_key(("flow", n, "settings"))
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ def test_entries_land_on_their_ring_shard(shard_servers, sharded):
     sharded.flush()
     used_shards = set()
     for key in keys:
-        owner = sharded.ring.node(key_digest(key))
+        owner = sharded.ring.node(key)
         used_shards.add(owner)
         # Present on the owner, absent from every other shard's store.
         for url, backend in backends.items():
@@ -223,7 +223,7 @@ def test_dead_shard_degrades_alone_and_recovers(shard_servers, sharded):
         revived.stop()
 
 
-def _key_on(server: CacheServer, key: tuple) -> bool:
+def _key_on(server: CacheServer, key: str) -> bool:
     return key in server.backend
 
 

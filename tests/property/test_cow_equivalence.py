@@ -1,11 +1,13 @@
 """Property-based equivalence of deep and copy-on-write pattern application.
 
 For random flows and random pattern sequences, applying the sequence on a
-``copy_mode="deep"`` chain and on a ``copy_mode="cow"`` chain must yield
-indistinguishable results: identical signatures, identical validation
-issues, identical (static) quality profiles.  A second property asserts
-the :func:`validate_delta` / :func:`validate_flow` oracle agreement on
-the same random chains.
+chain of ``copy(mode="deep")`` graphs and on a chain of ``copy(mode="cow")``
+graphs must yield indistinguishable results: identical signatures,
+identical validation issues, identical (static) quality profiles.
+Further properties assert the :func:`validate_delta` /
+:func:`validate_flow` oracle agreement on the same random chains, the
+generator's agreement with the deep, unprefixed oracle, and the content
+digest's agreement with the full-walk fingerprint.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.etl.validation import validate_delta, validate_flow
 from repro.patterns.registry import default_palette
 from repro.quality.estimator import EstimationSettings, QualityEstimator
 from repro.workloads import RandomFlowConfig, random_flow
+from tests.oracle import OracleGenerator, flow_fingerprint, stream_outcome
 
 _PALETTE = list(default_palette())
 
@@ -112,12 +115,11 @@ class TestCowEquivalence:
 
 
 class TestPrefixCacheEquivalence:
-    """The prefix cache must never change the generated alternative space.
+    """The generator's one path must never change the alternative space.
 
-    For random flows, every (copy_mode, prefix_cache) arm of the
-    generator must produce the same alternative stream: same labels, same
-    pattern applications, same signatures.  This is the property behind
-    the ``prefix_cache`` default being safe to leave on.
+    For random flows, the copy-on-write, prefix-reusing generator must
+    produce the stream of the deep, unprefixed oracle: same labels, same
+    pattern applications, same names, signatures and fingerprints.
     """
 
     @settings(max_examples=10, deadline=None)
@@ -128,26 +130,73 @@ class TestPrefixCacheEquivalence:
     )
     def test_all_arms_agree(self, seed, operations, budget):
         flow = random_flow(RandomFlowConfig(operations=operations, sources=2, seed=seed))
-        outcomes = []
-        for mode in ("deep", "cow"):
-            for prefix_cache in (True, False):
-                config = ProcessingConfiguration(
-                    pattern_budget=budget,
-                    max_points_per_pattern=2,
-                    max_alternatives=150,
-                    copy_mode=mode,
-                    prefix_cache=prefix_cache,
-                )
-                generator = AlternativeGenerator(
-                    default_palette(), HeuristicPolicy(), config
-                )
-                outcomes.append(
-                    [
-                        (a.label, a.pattern_names, a.flow.signature())
-                        for a in generator.generate(flow)
-                    ]
-                )
-        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+        config = ProcessingConfiguration(
+            pattern_budget=budget, max_points_per_pattern=2, max_alternatives=150
+        )
+        outcomes = [
+            stream_outcome(
+                generator_class(default_palette(), HeuristicPolicy(), config).generate(flow)
+            )
+            for generator_class in (AlternativeGenerator, OracleGenerator)
+        ]
+        assert outcomes[0] == outcomes[1]
+
+
+class TestContentDigest:
+    """The incrementally kept content digest against its oracles."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        operations=st.integers(min_value=8, max_value=14),
+    )
+    def test_digest_equality_iff_fingerprint_equality(self, seed, operations):
+        flow = random_flow(RandomFlowConfig(operations=operations, sources=2, seed=seed))
+        config = ProcessingConfiguration(pattern_budget=2, max_points_per_pattern=2)
+        generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
+        flows = [flow] + [alt.flow for alt in generator.generate(flow)]
+        # Same fingerprint from a different object: the pairs below must
+        # cover equality as well as inequality.
+        flows.append(flow.copy())
+        digests = [f.content_digest() for f in flows]
+        fingerprints = [flow_fingerprint(f) for f in flows]
+        for i, (digest_i, fingerprint_i) in enumerate(zip(digests, fingerprints)):
+            for digest_j, fingerprint_j in zip(digests[i:], fingerprints[i:]):
+                assert (digest_i == digest_j) == (fingerprint_i == fingerprint_j)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        operations=st.integers(min_value=8, max_value=14),
+        budget=st.integers(min_value=1, max_value=3),
+    )
+    def test_incremental_digest_equals_from_scratch(self, seed, operations, budget):
+        flow = random_flow(RandomFlowConfig(operations=operations, sources=2, seed=seed))
+        config = ProcessingConfiguration(
+            pattern_budget=budget, max_points_per_pattern=2, max_alternatives=150
+        )
+        generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
+        for alternative in generator.generate(flow):
+            scratch = alternative.flow.copy(mode="deep")
+            assert scratch.delta is None
+            assert alternative.flow.content_digest() == scratch.content_digest()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        operations=st.integers(min_value=8, max_value=18),
+        picks=_pick_sequences,
+    )
+    def test_digest_tracks_writes_after_it_was_read(self, seed, operations, picks):
+        flow = random_flow(RandomFlowConfig(operations=operations, sources=2, seed=seed))
+        final, chain = _apply_sequence(flow, picks, "cow")
+        before = [graph.content_digest() for graph in chain]
+        target = final.operation_ids()[-1]
+        final.mutable_operation(target).properties.cost_per_tuple += 1.0
+        assert final.content_digest() == final.copy(mode="deep").content_digest()
+        assert final.content_digest() != before[-1]
+        # The write never reaches the graphs the final flow was forked from.
+        assert [graph.content_digest() for graph in chain[:-1]] == before[:-1]
 
 
 class TestValidateDeltaOracle:

@@ -1,4 +1,4 @@
-"""Tests for the memoized estimation layer: ProfileCache and fingerprints."""
+"""Tests for the memoized estimation layer: ProfileCache and content digests."""
 
 import pickle
 
@@ -10,31 +10,48 @@ from repro.quality.estimator import (
     EstimationSettings,
     ProfileCache,
     QualityEstimator,
-    flow_fingerprint,
 )
+from tests.oracle import flow_fingerprint
+
+
+def _same(a, b) -> bool:
+    """Content equality, asserting digest and fingerprint oracle agree."""
+    same = a.content_digest() == b.content_digest()
+    assert same == (flow_fingerprint(a) == flow_fingerprint(b))
+    return same
 
 
 class TestFlowFingerprint:
     def test_identical_copies_share_a_fingerprint(self, linear_flow):
-        assert flow_fingerprint(linear_flow) == flow_fingerprint(linear_flow.copy())
+        assert _same(linear_flow, linear_flow.copy())
+        assert _same(linear_flow, linear_flow.copy(mode="cow"))
 
     def test_name_and_lineage_are_ignored(self, linear_flow):
         renamed = linear_flow.copy(name="something_else")
         renamed.record_pattern("AddCheckpoint @ der")
-        assert flow_fingerprint(renamed) == flow_fingerprint(linear_flow)
+        assert _same(renamed, linear_flow)
 
     def test_annotations_change_the_fingerprint(self, linear_flow):
         annotated = linear_flow.copy()
         annotated.annotations["encryption"] = True
-        assert flow_fingerprint(annotated) != flow_fingerprint(linear_flow)
+        assert not _same(annotated, linear_flow)
 
     def test_operation_properties_change_the_fingerprint(self, linear_flow):
         tweaked = linear_flow.copy()
         tweaked.operation("der").properties.cost_per_tuple = 123.0
-        assert flow_fingerprint(tweaked) != flow_fingerprint(linear_flow)
+        assert not _same(tweaked, linear_flow)
+        child = linear_flow.copy(mode="cow")
+        child.content_digest()
+        child.mutable_operation("der").properties.cost_per_tuple = 123.0
+        assert _same(child, tweaked)
 
     def test_structure_changes_the_fingerprint(self, linear_flow, branching_flow):
-        assert flow_fingerprint(linear_flow) != flow_fingerprint(branching_flow)
+        assert not _same(linear_flow, branching_flow)
+
+    def test_cache_key_is_one_hex_digest(self, linear_flow):
+        key = QualityEstimator().cache_key(linear_flow)
+        assert isinstance(key, str) and len(key) == 64
+        assert int(key, 16) >= 0
 
 
 class TestProfileCache:

@@ -16,6 +16,7 @@ import pytest
 from repro.cache import DiskProfileCache, ProfileCache
 from repro.core import Planner
 from repro.service import CacheServer
+from tests.conftest import digest_key
 
 
 class TestServerKilledMidPlan:
@@ -137,7 +138,7 @@ class TestClientDegradesOnAnyFailure:
             raise http.client.BadStatusLine("<html>not http/1.1</html>")
 
         monkeypatch.setattr(client._client, "request_json", bad_server)
-        assert client.get(("k",)) is None  # degrades, no exception
+        assert client.get(digest_key("k")) is None  # degrades, no exception
         assert client.degraded
 
     def test_garbage_200_with_malformed_profiles_degrades(self, monkeypatch):
@@ -148,7 +149,7 @@ class TestClientDegradesOnAnyFailure:
         monkeypatch.setattr(
             client, "_request", lambda path, payload=None: {"profiles": [{"x": 1}]}
         )
-        assert client.get(("k",)) is None  # falls back, no exception
+        assert client.get(digest_key("k")) is None  # falls back, no exception
         assert client.degraded
 
     def test_garbage_200_with_a_short_profiles_array_degrades(self, monkeypatch):
@@ -157,7 +158,7 @@ class TestClientDegradesOnAnyFailure:
 
         client = HTTPProfileCache("http://127.0.0.1:1", timeout=1.0)
         monkeypatch.setattr(client, "_request", lambda path, payload=None: {"ok": True})
-        assert client.get_many([("a",), ("b",)]) == [None, None]
+        assert client.get_many([digest_key("a"), digest_key("b")]) == [None, None]
         assert client.degraded
 
     def test_garbage_200_with_a_non_object_body_degrades(self, monkeypatch):
@@ -168,7 +169,7 @@ class TestClientDegradesOnAnyFailure:
         monkeypatch.setattr(
             client._client, "request_json", lambda *args, **kwargs: [1, 2, 3]
         )
-        assert client.get(("k",)) is None
+        assert client.get(digest_key("k")) is None
         assert client.degraded
 
     def test_unserializable_key_degrades_on_flush_without_losing_the_entry(self):

@@ -310,3 +310,23 @@ class TestConfigurationFromRequest:
             post({"flow": linear_flow.to_dict(), "configuration": {"cache_dir": "/x"}})
             == 400
         )
+
+    @pytest.mark.parametrize(
+        "knob", [{"copy_mode": "deep"}, {"copy_mode": "cow"}, {"prefix_cache": False}]
+    )
+    def test_removed_generation_knobs_are_a_clean_400(self, server, linear_flow, knob):
+        """Generation has one path; the knobs that chose another are gone."""
+        import urllib.error
+
+        with pytest.raises(ServiceError, match="unknown configuration field"):
+            configuration_from_request(knob)
+        request = urllib.request.Request(
+            server.url + "/plans",
+            data=json.dumps({"flow": linear_flow.to_dict(), "configuration": knob}).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert excinfo.value.code == 400
+        assert "unknown configuration field" in json.loads(excinfo.value.read())["error"]

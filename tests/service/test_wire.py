@@ -2,10 +2,10 @@
 
 The service layer's correctness rests on two codec properties: profiles
 survive JSON *exactly* (so the network tier is byte-identical to the
-local tiers) and cache keys survive the tuple->array->tuple trip
-``repr``-identically (so digests computed on either side of the wire
-agree).  The HTTP plumbing must reject malformed and oversized bodies
-with clean JSON errors, never tracebacks.
+local tiers) and cache keys -- 64-hex digests -- travel as plain JSON
+strings, identical on both sides of the wire.  The HTTP plumbing must
+reject malformed keys, malformed and oversized bodies with clean JSON
+errors, never tracebacks.
 """
 
 from __future__ import annotations
@@ -16,13 +16,9 @@ import urllib.request
 
 import pytest
 
-from repro.cache import ProfileCache, key_digest
+from repro.cache import ProfileCache, is_cache_key
 from repro.core import Planner
-from repro.io.jsonflow import (
-    cache_key_from_jsonable,
-    profile_from_dict,
-    profile_to_dict,
-)
+from repro.io.jsonflow import profile_from_dict, profile_to_dict
 from repro.service import CacheServer
 from repro.workloads import purchases_flow
 
@@ -55,15 +51,9 @@ class TestProfileCodec:
 class TestKeyCodec:
     def test_key_round_trip_is_repr_identical(self, evaluated_profile):
         _, key = evaluated_profile
-        back = cache_key_from_jsonable(json.loads(json.dumps(key)))
-        assert back == key
-        assert repr(back) == repr(key)  # the property file-name digests rely on
-        assert key_digest(back) == key_digest(key)
-
-    def test_scalars_and_nesting(self):
-        key = (1, 2.5, None, True, "s", ("nested", ("deeper", 0)))
-        back = cache_key_from_jsonable(json.loads(json.dumps(key)))
-        assert back == key and isinstance(back[5], tuple)
+        assert is_cache_key(key)
+        back = json.loads(json.dumps(key))
+        assert back == key and repr(back) == repr(key)  # no codec needed
 
 
 class TestRequestHygiene:
@@ -111,6 +101,23 @@ class TestRequestHygiene:
             assert excinfo.value.code == 400, path
             assert "error" in json.loads(excinfo.value.read().decode("utf-8"))
 
+    def test_put_key_must_be_a_digest(self, server, evaluated_profile):
+        from repro.quality.composite import QualityProfile
+
+        _, key = evaluated_profile
+        document = profile_to_dict(QualityProfile(flow_name="p"))
+        for bad in (["flow", 1], "../" + "a" * 61, key.upper(), key[:-1], 7, None):
+            body = {"entries": [{"key": bad, "profile": document}]}
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._post(server.url + "/put", json.dumps(body).encode())
+            assert excinfo.value.code == 400, bad
+            assert "hex" in json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert len(server.backend) == 0
+        body = {"entries": [{"key": key, "profile": document}]}
+        with self._post(server.url + "/put", json.dumps(body).encode()) as response:
+            assert json.loads(response.read().decode("utf-8")) == {"stored": 1}
+        assert key in server.backend
+
     def test_oversized_reject_does_not_corrupt_a_keepalive_connection(self, server):
         """The unread body must not be parsed as the next request."""
         import http.client
@@ -150,15 +157,20 @@ class TestRequestHygiene:
         outside.write_bytes(b"not an entry; outside the served directory")
         disk = DiskProfileCache(tmp_path / "store")
         with CacheServer(disk) as server:
-            for path in ("/get", "/contains"):
+            for path, body in (
+                ("/get", {"digest": evil}),
+                ("/contains", {"digest": evil}),
+                ("/get_many", {"digests": [evil]}),
+                ("/put", {"entries": [{"key": evil, "profile": {}}]}),
+            ):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    self._post(server.url + path, json.dumps({"digest": evil}).encode())
+                    self._post(server.url + path, json.dumps(body).encode())
                 assert excinfo.value.code == 400, path
                 assert "hex" in json.loads(excinfo.value.read().decode())["error"]
-        # defense in depth: the digest-addressed disk lookup itself
-        # refuses non-hex digests instead of building a path from them
-        assert disk.get_by_digest(evil) is None
-        assert disk.get_by_digest("A" * 64) is None  # uppercase is not a digest
+        # defense in depth: the disk tier itself refuses non-hex keys
+        # instead of building a path from them
+        assert disk.get(evil) is None
+        assert disk.get("A" * 64) is None  # uppercase is not a digest
         assert outside.read_bytes() == b"not an entry; outside the served directory"
 
     def test_health_and_stats_endpoints(self, server):

@@ -56,7 +56,7 @@ if str(_SRC) not in sys.path:  # pragma: no cover - environment guard
     sys.path.insert(0, str(_SRC))
 
 from repro.cache import DiskProfileCache, ProfileCache, TieredProfileCache  # noqa: E402
-from repro.service import CacheServer, RedesignServer  # noqa: E402
+from repro.service import CacheServer, RedesignServer, interrupt_on_sigterm  # noqa: E402
 
 
 def _backend(args: argparse.Namespace):
@@ -162,17 +162,19 @@ def _run_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         queue_path,
         args.fleet_workers,
     )
-    print(f"fleet front-end listening on {front.url}")
-    for index, url in enumerate(shard_urls):
-        print(f"  shard {index}: {url}")
-    print(f"  queue: {queue_path} ({args.fleet_workers} in-process workers)")
-    print(f"  metrics: {front.url}/metrics (dashboard: tools/obs.py)")
-    print(f'  try: RedesignClient("{front.url}").plan(flow)')
-    print(
-        f"  scale out: PYTHONPATH=src python tools/worker.py --queue {queue_path} "
-        f"--cache-urls {' '.join(shard_urls)}"
-    )
+    # The banner is inside the try: a SIGTERM that arrives once the ready
+    # line is out takes the clean shutdown path.
     try:
+        print(f"fleet front-end listening on {front.url}")
+        for index, url in enumerate(shard_urls):
+            print(f"  shard {index}: {url}")
+        print(f"  queue: {queue_path} ({args.fleet_workers} in-process workers)")
+        print(f"  metrics: {front.url}/metrics (dashboard: tools/obs.py)")
+        print(f'  try: RedesignClient("{front.url}").plan(flow)')
+        print(
+            f"  scale out: PYTHONPATH=src python tools/worker.py --queue {queue_path} "
+            f"--cache-urls {' '.join(shard_urls)}"
+        )
         front.serve_forever()
     except KeyboardInterrupt:
         print("shutting down fleet")
@@ -281,6 +283,7 @@ def main(argv=None) -> int:
             args.host or '""',
         )
 
+    interrupt_on_sigterm()
     if args.command == "fleet":
         return _run_fleet(args, parser)
 
@@ -329,9 +332,9 @@ def main(argv=None) -> int:
         hint = f'RedesignClient("{server.url}").plan(flow)'
 
     bound = " (bound to every interface)" if args.host in ("0.0.0.0", "") else ""
-    print(f"{role} service listening on {server.url}{bound}")
-    print(f"  try: {hint}")
     try:
+        print(f"{role} service listening on {server.url}{bound}")
+        print(f"  try: {hint}")
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down")

@@ -34,6 +34,7 @@ if str(_SRC) not in sys.path:  # pragma: no cover - environment guard
 
 from repro.cache import build_profile_cache  # noqa: E402
 from repro.fleet import DEFAULT_LEASE_TIMEOUT, DEFAULT_POLL_INTERVAL, run_worker  # noqa: E402
+from repro.service import interrupt_on_sigterm  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -116,6 +117,7 @@ def main(argv=None) -> int:
             )
         return None
 
+    interrupt_on_sigterm()
     try:
         run_worker(
             args.queue,
