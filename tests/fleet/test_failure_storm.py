@@ -82,6 +82,19 @@ def test_kill_one_shard_of_four_mid_plan(make_fleet, branching_flow):
     client.wait(warm_id, timeout=60)
     assert canonical(client.result_raw(warm_id)) == baseline
 
+    # The warm run stores only a dozen or so profiles, and the ring is
+    # keyed by the shards' (ephemeral) ports, so a shard can come out of
+    # it empty.  Give every shard an entry of its own, so "kept its store"
+    # below is checked on every survivor.
+    markers = {}
+    for url in fleet.shard_urls:
+        markers[url] = next(
+            digest_key(("marker", n)) for n in range(10_000)
+            if cache.shard_for(digest_key(("marker", n))) == url
+        )
+        cache.put(markers[url], QualityProfile(flow_name="marker"))
+    cache.flush()
+
     # Storm run: pull the shard out from under the plan.
     job_id = client.submit(branching_flow, configuration=dict(STORM_CONFIG))
     wait_for(lambda: client.status(job_id).get("evaluated", 0) >= 1)
@@ -98,6 +111,7 @@ def test_kill_one_shard_of_four_mid_plan(make_fleet, branching_flow):
         if index != victim:
             assert shard is not None
             assert len(shard.backend) > 0, f"shard {index} lost its store"
+            assert markers[fleet.shard_urls[index]] in shard.backend
             assert not cache.client_for(fleet.shard_urls[index]).degraded
 
     # Revive on the same port: the probe re-attaches the client...
